@@ -41,7 +41,8 @@ def _rejection_steps(graph, rng) -> int:
     trials = 0
     accepted = 0
     while accepted < STEPS:
-        nxt = kernel.step(current, previous, rng)
+        nxt = kernel.step_with_uniforms(current, previous, rng.random(),
+                                        rng.random(), False)
         trials += 1
         if nxt is not None:
             previous, current = current, int(nxt)

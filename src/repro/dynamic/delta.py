@@ -21,6 +21,7 @@ paper-style 1% churn step the dynamic bench measures.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
@@ -105,7 +106,8 @@ class EdgeStream:
         """Parse the text form: ``+ u v [w]`` inserts, ``- u v`` deletes.
 
         ``source`` is a path or an open text file; blank lines and
-        ``#``-comments are skipped.
+        ``#``-comments are skipped.  Weights must be finite and
+        non-negative.
         """
         if isinstance(source, str):
             with open(source, "r", encoding="utf-8") as fh:
@@ -125,7 +127,12 @@ class EdgeStream:
             ops.append(1 if parts[0] == "+" else -1)
             src.append(int(parts[1]))
             dst.append(int(parts[2]))
-            weights.append(float(parts[3]) if len(parts) == 4 else 1.0)
+            weight = float(parts[3]) if len(parts) == 4 else 1.0
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(
+                    f"line {lineno}: weight must be finite and "
+                    f"non-negative, got {parts[3]!r}")
+            weights.append(weight)
         return cls(np.asarray(src, dtype=np.int64),
                    np.asarray(dst, dtype=np.int64),
                    np.asarray(ops, dtype=np.int64),

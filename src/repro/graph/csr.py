@@ -73,7 +73,8 @@ class CSRGraph:
 
         Self-loops are dropped and duplicate edges are merged (weights of
         duplicates are summed).  For undirected graphs every edge is stored
-        in both directions, as in the paper's CSR description.
+        in both directions, as in the paper's CSR description.  Weights
+        must be finite and non-negative.
         """
         arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
@@ -91,6 +92,13 @@ class CSRGraph:
         if w.shape[0] != arr.shape[0]:
             raise ValueError(
                 f"weights length {w.shape[0]} does not match edge count {arr.shape[0]}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"edge {i} has weight {float(w[i])!r}; weights must be finite "
+                "and non-negative"
             )
 
         # A node mentioned only by dropped self-loops still exists, so the

@@ -2,8 +2,8 @@
 
 The simulated :class:`~repro.runtime.cluster.Cluster` counts work; this
 module makes the three pipeline phases *actually* run on multiple OS
-processes.  The enabling property is the counter-based RNG protocols of
-PRs 1-2: every random draw is a pure function of ``(stream key, counter)``,
+processes.  The enabling property is counter-based randomness: every
+random draw is a pure function of ``(stream key, counter)``,
 so results cannot depend on how work is scheduled -- which means the
 process backend must reproduce the serial backends **bit for bit** (the
 contract ``tests/test_runtime_executor_parity.py`` enforces, mirroring how
@@ -728,13 +728,10 @@ def _train_learner_for(machine: int):
                     if _WORKER_STATE["train_backend"] in ("vectorized",
                                                           "torch")
                     else LEARNERS)
-        # The generator argument is never consumed under the shared
-        # protocol (negatives come from the counter stream; subsampling
-        # happens in the parent) -- a fixed dummy keeps the signature.
+        # Each task installs its own negative stream before training.
         learner = registry[_WORKER_STATE["train_learner_name"]](
             model, _WORKER_STATE["train_sampler"],
-            _WORKER_STATE["train_config"], np.random.default_rng(0),
-            neg_stream=None)
+            _WORKER_STATE["train_config"])
         anchor = _WORKER_STATE.get("train_anchor")
         if anchor is not None:
             from repro.embedding.anchor import RowAnchor

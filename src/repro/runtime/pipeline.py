@@ -30,7 +30,7 @@ corpus; rounds sampled speculatively past a KL stop are discarded without
 a trace.  The training phase consumes the finished block through the same
 shared-memory slice descriptors as ``execution="process"``; its
 consumption is gated by :class:`repro.walks.corpus.CorpusFeed` readiness
-(the ``shared`` RNG protocol's frequency-ordered vocabulary and unigram
+(the negative streams' frequency-ordered vocabulary and unigram
 negative table are global corpus statistics, so the feed's *finished*
 event is the earliest point slice training may start without changing a
 byte -- see docs/ARCHITECTURE.md for the dependency analysis).

@@ -350,10 +350,6 @@ class Node2VecAliasKernel:
                                                              tables)
         return kernel
 
-    def step(self, current: int, previous: int,
-             rng: np.random.Generator) -> Optional[int]:
-        return self.sampler.sample_step(current, previous, rng)
-
     def step_with_uniforms(self, current: int, previous: int,
                            u1: float, u2: float, forced: bool) -> Optional[int]:
         # Alias tables never reject, so ``forced`` can never arise.

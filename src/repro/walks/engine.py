@@ -14,8 +14,8 @@ three systems compared throughout the paper:
 
 Every backend flushes finished walks into the flat
 :class:`repro.walks.corpus.Corpus` (one contiguous token block + monotone
-offsets) in **walk-id order** -- the canonical corpus order of the walker
-RNG protocol.  The vectorized backend and the process executor compact
+offsets) in **walk-id order** -- the canonical corpus order of the
+per-walker streams.  The vectorized backend and the process executor compact
 whole padded rounds into the token block with ``Corpus.add_walks``; the
 loop references append one walk at a time and land on the identical flat
 state, which the corpus-invariants suite
@@ -26,8 +26,8 @@ every measurement at its mode-specific cost, so the simulated cost model
 reproduces the paper's complexity separations; the *wall-clock* separation
 is also real because the full-path mode genuinely recomputes from scratch.
 
-Backends and RNG protocols
---------------------------
+Backends and walker randomness
+------------------------------
 ``WalkConfig.backend`` selects how a round of walkers is executed:
 
 * ``"vectorized"`` -- all walkers advance in lock-step through
@@ -40,22 +40,15 @@ Backends and RNG protocols
 * ``"auto"`` (default) -- ``vectorized`` where semantics match
   (``routine``/``incom``), ``loop`` for ``fullpath``.
 
-``WalkConfig.rng_protocol`` selects where walk randomness comes from:
-
-* ``"walker"`` -- each walker owns a counter-based stream derived from
-  ``(cluster seed, walk_id)`` via :mod:`repro.utils.rng`, consuming exactly
-  two uniforms per sampling trial.  Walks are then independent of
-  scheduling, batching and machine count, and the loop and vectorized
-  backends produce **byte-identical corpora** -- the reference-parity
-  guarantee.  This is the only protocol the vectorized backend supports.
-* ``"cluster"`` -- the legacy per-machine generator streams
-  (``cluster.rngs``); kept for backward-compatible seed behaviour, opt-in
-  only.
-* ``"auto"`` (default) -- ``walker`` on every backend.  Walker streams
-  are the documented default for all new code paths: they make corpora
-  independent of machine count, batching and scheduling, which the
-  corpus/embedding machine-count invariance suite
-  (``tests/test_golden_pipeline.py``) relies on.
+Every walker owns a counter-based stream derived from
+``(cluster seed, walk_id)`` via :mod:`repro.utils.rng`, consuming exactly
+two uniforms per sampling trial -- the walker carries its randomness with
+it from machine to machine, as its InCoM message carries its state.
+Walks are therefore independent of scheduling, batching and machine
+count: the loop and vectorized backends produce **byte-identical
+corpora** (the reference-parity guarantee), and the corpus/embedding
+machine-count invariance suite (``tests/test_golden_pipeline.py``) relies
+on the same property.
 
 ``WalkConfig.execution`` selects *where* a round's walkers run:
 
@@ -141,8 +134,6 @@ class WalkConfig:
     q: float = 1.0                  # node2vec in-out parameter
     #: "auto" | "vectorized" | "loop" -- see the module docstring.
     backend: str = "auto"
-    #: "auto" | "walker" | "cluster" -- see the module docstring.
-    rng_protocol: str = "auto"
     #: "serial" | "process" | "pipeline" -- see the module docstring.  The
     #: default is read from ``REPRO_EXECUTION`` ("serial" when unset).
     execution: str = field(default_factory=default_execution)
@@ -167,18 +158,11 @@ class WalkConfig:
         resolve_backing(self.backing)
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
-        if self.rng_protocol not in ("auto", "walker", "cluster"):
-            raise ValueError(f"unknown rng_protocol {self.rng_protocol!r}")
         if self.backend == "vectorized" and self.mode == "fullpath":
             raise ValueError(
                 "mode='fullpath' cannot be vectorized: HuGE-D's O(L) "
                 "per-step recomputation is the baseline being measured; "
                 "use backend='auto' or 'loop'"
-            )
-        if self.backend == "vectorized" and self.rng_protocol == "cluster":
-            raise ValueError(
-                "the vectorized backend requires the 'walker' RNG protocol "
-                "(per-walker counter streams)"
             )
         check_positive("max_trials_per_step", self.max_trials_per_step)
 
@@ -187,16 +171,6 @@ class WalkConfig:
         if self.backend != "auto":
             return self.backend
         return "loop" if self.mode == "fullpath" else "vectorized"
-
-    def resolved_rng_protocol(self) -> str:
-        """The RNG protocol ``"auto"`` resolves to (``"walker"``).
-
-        Counter-based walker streams are the default for every backend;
-        the legacy ``"cluster"`` generator streams are opt-in only.
-        """
-        if self.rng_protocol != "auto":
-            return self.rng_protocol
-        return "walker"
 
     def resolved_execution(self) -> str:
         """The execution mode this config actually runs under.
@@ -260,7 +234,6 @@ class DistributedWalkEngine:
         self._routine_message_bytes = self.kernel.message_fields * BYTES_PER_FIELD
         #: Backend actually used for rounds (resolved from config).
         self.backend = self.config.resolved_backend()
-        self.rng_protocol = self.config.resolved_rng_protocol()
         #: Execution mode actually used ("serial" or "process").
         self.execution = self.config.resolved_execution()
         self._batch_runner: Optional[BatchWalkRunner] = None
@@ -450,89 +423,12 @@ class DistributedWalkEngine:
                 )
             self._batch_runner.run_round(sources, round_idx, corpus, stats,
                                          walk_machines)
-        elif self.rng_protocol == "walker":
+        else:
             self._run_round_loop_walker(sources, round_idx, corpus, stats,
                                         walk_machines)
-        else:
-            self._run_round_loop_cluster(sources, round_idx, corpus, stats,
-                                         walk_machines)
 
     # ------------------------------------------------------------------ #
-    # Loop backend, legacy per-machine RNG streams (BSP superstep loop)
-    # ------------------------------------------------------------------ #
-
-    def _run_round_loop_cluster(
-        self,
-        sources: np.ndarray,
-        round_idx: int,
-        corpus: Corpus,
-        stats: WalkStats,
-        walk_machines: List[int],
-    ) -> None:
-        cfg = self.config
-        cluster = self.cluster
-        graph = self.graph
-        metrics = cluster.metrics
-        info_mode = cfg.mode != "routine"
-        length_rule = (
-            WalkLengthRule(mu=cfg.mu, min_length=cfg.min_length,
-                           max_length=cfg.max_length)
-            if info_mode
-            else None
-        )
-
-        items: List[Tuple[int, Tuple[Walker, object]]] = []
-        for offset, source in enumerate(sources):
-            source = int(source)
-            walker = Walker.start(round_idx * len(sources) + offset, source)
-            measure = make_measure(cfg.mode) if info_mode else None
-            if measure is not None:
-                measure.observe(source)
-            items.append((cluster.machine_of(source), (walker, measure)))
-
-        def advance(machine: int, item: Tuple[Walker, object]) -> StepResult:
-            walker, measure = item
-            rng = cluster.rngs[machine]
-            while True:
-                if self._walk_finished(walker, measure, length_rule):
-                    corpus.add_walk(walker.path)
-                    stats.total_walks += 1
-                    stats.walk_lengths.append(walker.length)
-                    walk_machines.append(cluster.machine_of(walker.source))
-                    return None
-                candidate = self.kernel.step(walker.current, walker.previous, rng)
-                stats.total_trials += 1
-                metrics.record_compute(machine, 1.0)
-                if candidate is None:
-                    walker.trials_at_step += 1
-                    if walker.trials_at_step >= cfg.max_trials_per_step:
-                        # Force progress: unconditional uniform hop, the
-                        # pragmatic cap real engines apply to rejection loops.
-                        nbrs = graph.neighbors(walker.current)
-                        candidate = int(nbrs[rng.integers(0, nbrs.size)])
-                    else:
-                        continue
-                walker.advance(int(candidate))
-                stats.total_steps += 1
-                metrics.record_local_step(machine)
-                if measure is not None:
-                    measure.observe(int(candidate))
-                    # Measurement cost: O(1) for InCoM, O(L) for full-path.
-                    metrics.record_compute(machine, measure.step_cost())
-                dest = cluster.machine_of(int(candidate))
-                if dest != machine:
-                    n_bytes = (
-                        measure.message_bytes()
-                        if measure is not None
-                        else self._routine_message_bytes
-                    )
-                    return (dest, (walker, measure), n_bytes)
-
-        engine = BSPEngine(cluster)
-        engine.run(items, advance)
-
-    # ------------------------------------------------------------------ #
-    # Loop backend, walker RNG protocol (the parity reference)
+    # Loop backend (the parity reference)
     # ------------------------------------------------------------------ #
 
     def _run_round_loop_walker(
@@ -549,8 +445,7 @@ class DistributedWalkEngine:
         verified against: same per-walker uniforms (two per trial), same
         trial/termination schedule, same cost accounting -- only executed
         one walker at a time.  Finished walks are emitted in walk-id order
-        (the protocol's canonical corpus order, independent of BSP
-        scheduling).
+        (the canonical corpus order, independent of BSP scheduling).
         """
         cfg = self.config
         cluster = self.cluster

@@ -11,19 +11,14 @@ engines count every call as one unit of per-machine compute, which is what
 makes the acceptance-rate differences between kernels visible in the
 simulated cost model.
 
-Two stepping interfaces coexist:
-
-* ``step(current, previous, rng)`` -- the legacy interface drawing from a
-  stateful per-machine :class:`numpy.random.Generator` (the "cluster" RNG
-  protocol of :class:`repro.walks.engine.WalkConfig`).
-* ``step_with_uniforms(current, previous, u1, u2, forced)`` -- the
-  scheduling-independent interface of the "walker" RNG protocol: the
-  engine supplies exactly two uniforms per trial from the walker's private
-  counter stream (``u1`` proposes, ``u2`` accepts), so the loop and
-  vectorized backends consume identical randomness and produce
-  byte-identical walks.  ``forced`` marks the unconditional hop applied
-  after ``max_trials_per_step`` rejections: the proposal is drawn the same
-  way and accepted outright.
+Kernels step through one scheduling-independent interface,
+``step_with_uniforms(current, previous, u1, u2, forced)``: the engine
+supplies exactly two uniforms per trial from the walker's private counter
+stream (``u1`` proposes, ``u2`` accepts), so the loop and vectorized
+backends consume identical randomness and produce byte-identical walks.
+``forced`` marks the unconditional hop applied after
+``max_trials_per_step`` rejections: the proposal is drawn the same way and
+accepted outright.
 
 :func:`common_neighbor_counts_per_arc` and
 :meth:`HuGEKernel.arc_acceptance_table` precompute Eq. 3 for every stored
@@ -43,28 +38,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.partition.galloping import galloping_intersect_size
 from repro.utils.validation import check_positive
-
-
-def _weighted_choice(
-    graph: CSRGraph,
-    node: int,
-    rng: np.random.Generator,
-    cumsum_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> int:
-    """Uniform (or weight-proportional) neighbour draw."""
-    nbrs = graph.neighbors(node)
-    if nbrs.size == 0:
-        raise ValueError(f"node {node} has no neighbours to walk to")
-    if not graph.is_weighted:
-        return int(nbrs[rng.integers(0, nbrs.size)])
-    if cumsum_cache is not None and node in cumsum_cache:
-        cumsum = cumsum_cache[node]
-    else:
-        cumsum = np.cumsum(graph.neighbor_weights(node))
-        if cumsum_cache is not None:
-            cumsum_cache[node] = cumsum
-    x = rng.random() * cumsum[-1]
-    return int(nbrs[np.searchsorted(cumsum, x, side="right")])
 
 
 def propose_with_uniform(
@@ -157,9 +130,6 @@ class DeepWalkKernel:
     name = "deepwalk"
     message_fields = 3  # [walk_id, steps, node_id]
 
-    def step(self, current: int, previous: int, rng: np.random.Generator) -> Optional[int]:
-        return _weighted_choice(self.graph, current, rng, self._cumsum_cache)
-
     def step_with_uniforms(self, current: int, previous: int,
                            u1: float, u2: float, forced: bool) -> Optional[int]:
         candidate, _ = propose_with_uniform(self.graph, current, u1,
@@ -199,13 +169,6 @@ class Node2VecKernel:
         if self.graph.has_edge(previous, candidate):
             return 1.0
         return 1.0 / self.q
-
-    def step(self, current: int, previous: int, rng: np.random.Generator) -> Optional[int]:
-        candidate = _weighted_choice(self.graph, current, rng, self._cumsum_cache)
-        y = rng.random() * self._envelope
-        if self._pi(previous, candidate) >= y:
-            return candidate
-        return None
 
     def step_with_uniforms(self, current: int, previous: int,
                            u1: float, u2: float, forced: bool) -> Optional[int]:
@@ -264,12 +227,6 @@ class HuGEKernel:
         if self.graph.is_weighted:
             alpha *= self.graph.edge_weight(u, v)
         return math.tanh(alpha)
-
-    def step(self, current: int, previous: int, rng: np.random.Generator) -> Optional[int]:
-        candidate = _weighted_choice(self.graph, current, rng, self._cumsum_cache)
-        if rng.random() < self.acceptance_probability(current, candidate):
-            return candidate
-        return None
 
     def step_with_uniforms(self, current: int, previous: int,
                            u1: float, u2: float, forced: bool) -> Optional[int]:

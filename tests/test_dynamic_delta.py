@@ -68,6 +68,15 @@ class TestEdgeStream:
         with pytest.raises(ValueError, match="no weight"):
             EdgeStream.from_text(io.StringIO("- 1 2 3.0\n"))
 
+    def test_text_rejects_non_finite_or_negative_weights(self):
+        for bad in ("nan", "inf", "-inf", "-3"):
+            text = f"+ 0 1\n+ 1 2 {bad}\n"
+            with pytest.raises(ValueError, match="line 2: weight"):
+                EdgeStream.from_text(io.StringIO(text))
+        # Zero weights stay accepted.
+        stream = EdgeStream.from_text(io.StringIO("+ 0 1 0\n"))
+        assert list(stream) == [(1, 0, 1, 0.0)]
+
     def test_validation(self):
         with pytest.raises(ValueError, match="parallel"):
             EdgeStream(np.array([0]), np.array([1, 2]), np.array([1]))

@@ -73,11 +73,6 @@ class TestEagerBackendValidation:
         with pytest.raises(ValueError, match=bad):
             TrainConfig(**{field: bad})
 
-    def test_torch_requires_shared_protocol(self):
-        """Protocol check fires first, so it works with torch absent."""
-        with pytest.raises(ValueError, match="shared"):
-            TrainConfig(backend="torch", rng_protocol="cluster")
-
     def test_resolve_ops_defaults_to_numpy_singleton(self):
         for cfg in (TrainConfig(), TrainConfig(backend="vectorized"),
                     TrainConfig(backend="loop"), None):

@@ -94,6 +94,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="weights length"):
             CSRGraph.from_edges([(0, 1)], weights=[1.0, 2.0])
 
+    def test_non_finite_or_negative_weights_rejected(self):
+        edges = [(0, 1), (1, 2), (2, 3)]
+        for weights, index in (([1.0, float("nan"), -2.0], 1),
+                               ([1.0, 1.0, -2.0], 2),
+                               ([float("inf"), 1.0, 1.0], 0),
+                               ([1.0, -float("inf"), 1.0], 1)):
+            with pytest.raises(ValueError, match=f"edge {index} "):
+                CSRGraph.from_edges(edges, num_nodes=4, weights=weights)
+        # Zero weights stay accepted and stored as given.
+        g = CSRGraph.from_edges(edges, num_nodes=4, weights=[0.0, 1.0, 2.0])
+        assert g.edge_weight(0, 1) == 0.0
+
     @given(edge_lists)
     @settings(max_examples=150, deadline=None)
     def test_invariants(self, edges):

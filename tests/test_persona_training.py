@@ -38,6 +38,7 @@ from repro.partition import WorkloadBalancePartitioner
 from repro.runtime import Cluster
 from repro.tasks import split_edges
 from repro.tasks.metrics import auc_score
+from repro.utils.rng import CounterStream
 from repro.walks import DistributedWalkEngine, WalkConfig
 
 DIM = 16
@@ -154,7 +155,7 @@ class TestAnchorPullMath:
         config = TrainConfig(dim=DIM, epochs=1, seed=3)
         # The pull never draws negatives, so no sampler is needed.
         return BaseLearner(model, sampler=None, config=config,
-                           rng=np.random.default_rng(0))
+                           neg_stream=CounterStream(0))
 
     def test_apply_anchor_pulls_unique_touched_rows(self):
         learner = self._learner()

@@ -554,6 +554,8 @@ class TestKnobs:
             execution="pipeline").resolved_execution() == "serial"
         assert TrainConfig(execution="pipeline").resolved_execution() == \
             "process"
+        assert TrainConfig(execution="process").resolved_execution() == \
+            "process"
         PartitionConfig(execution="pipeline")  # accepted for uniformity
 
     def test_pipeline_depth_validation(self, monkeypatch):
@@ -575,14 +577,6 @@ class TestKnobs:
                                                           execution="serial"))
         with pytest.raises(ValueError, match="partition_join"):
             engine.run(partition_join=lambda: part.assignment)
-
-    def test_train_process_requires_shared_protocol(self):
-        with pytest.raises(ValueError, match="shared"):
-            TrainConfig(execution="process", rng_protocol="cluster")
-        with pytest.raises(ValueError, match="shared"):
-            TrainConfig(execution="pipeline", rng_protocol="cluster")
-        assert TrainConfig(execution="process").resolved_execution() == \
-            "process"
 
     def test_worker_count_resolution(self):
         assert resolved_worker_count(3) == 3

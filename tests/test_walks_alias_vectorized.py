@@ -129,7 +129,8 @@ class TestSecondOrderAlias:
                             for _ in range(n)])
         r_draws = []
         while len(r_draws) < n:
-            out = rejection.step(current, previous, rng)
+            out = rejection.step_with_uniforms(current, previous, rng.random(),
+                                               rng.random(), False)
             if out is not None:
                 r_draws.append(out)
         r_draws = np.array(r_draws)
@@ -169,7 +170,8 @@ class TestAliasKernel:
     def test_never_rejects(self, small_graph, rng):
         k = Node2VecAliasKernel(small_graph, p=4.0, q=4.0)
         for _ in range(50):
-            assert k.step(1, 0, rng) is not None
+            assert k.step_with_uniforms(1, 0, rng.random(), rng.random(),
+                                        False) is not None
 
     def test_runs_in_engine(self, small_graph):
         from repro.partition import HashPartitioner

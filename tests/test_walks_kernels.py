@@ -20,19 +20,21 @@ class TestDeepWalk:
         k = DeepWalkKernel(small_graph)
         nbrs = set(int(x) for x in small_graph.neighbors(0))
         for _ in range(50):
-            nxt = k.step(0, -1, rng)
+            nxt = k.step_with_uniforms(0, -1, rng.random(),
+                                       rng.random(), False)
             assert nxt in nbrs
 
     def test_weighted_choice_respects_weights(self, rng):
         g = CSRGraph.from_edges([(0, 1), (0, 2)], weights=[100.0, 1.0])
         k = DeepWalkKernel(g)
-        picks = [k.step(0, -1, rng) for _ in range(300)]
+        picks = [k.step_with_uniforms(0, -1, rng.random(), rng.random(), False)
+                 for _ in range(300)]
         assert picks.count(1) > picks.count(2) * 5
 
     def test_isolated_node_raises(self):
         g = CSRGraph.from_edges([(0, 1)], num_nodes=3)
         with pytest.raises(ValueError, match="no neighbours"):
-            DeepWalkKernel(g).step(2, -1, np.random.default_rng(0))
+            DeepWalkKernel(g).step_with_uniforms(2, -1, 0.5, 0.5, False)
 
 
 class TestNode2Vec:
@@ -62,12 +64,15 @@ class TestNode2Vec:
     def test_p1_q1_never_rejects(self, small_graph, rng):
         k = Node2VecKernel(small_graph, p=1.0, q=1.0)
         for _ in range(50):
-            assert k.step(0, 1, rng) is not None
+            assert k.step_with_uniforms(0, 1, rng.random(),
+                                        rng.random(), False) is not None
 
     def test_small_q_prefers_outward(self, rng):
         # Star-of-paths: from center, q << 1 favours DFS-like moves.
         k_dfs = Node2VecKernel(ring_of_cliques(4, 6), p=1.0, q=0.25)
-        accepted = sum(k_dfs.step(0, 1, rng) is not None for _ in range(200))
+        accepted = sum(
+            k_dfs.step_with_uniforms(0, 1, rng.random(), rng.random(), False)
+            is not None for _ in range(200))
         assert 0 < accepted <= 200
 
 
@@ -116,7 +121,8 @@ class TestHuGE:
     def test_step_returns_neighbor_or_none(self, medium_graph, rng):
         k = HuGEKernel(medium_graph)
         nbrs = set(int(x) for x in medium_graph.neighbors(5))
-        outcomes = {k.step(5, -1, rng) for _ in range(100)}
+        outcomes = {k.step_with_uniforms(5, -1, rng.random(), rng.random(),
+                                         False) for _ in range(100)}
         outcomes.discard(None)
         assert outcomes <= nbrs
 

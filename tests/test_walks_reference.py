@@ -50,7 +50,8 @@ class TestNode2VecOracle:
                                                   p=p, q=q)
         draws = []
         while len(draws) < 4000:
-            out = kernel.step(current, previous, rng)
+            out = kernel.step_with_uniforms(current, previous, rng.random(),
+                                            rng.random(), False)
             if out is not None:
                 draws.append(int(out))
         draws = np.array(draws)
@@ -95,7 +96,8 @@ class TestHuGEOracles:
         u = 0
         draws = []
         while len(draws) < 4000:
-            out = kernel.step(u, -1, rng)
+            out = kernel.step_with_uniforms(u, -1, rng.random(),
+                                            rng.random(), False)
             if out is not None:
                 draws.append(int(out))
         draws = np.array(draws)
